@@ -1,7 +1,7 @@
 package repro.baselines
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
-import repro.core.{CompactGraph, EmbeddingModel, EmbeddingTrainer, RandomWalker}
+import org.apache.spark.sql.SparkSession
+import repro.core.{CompactGraph, EmbeddingTrainer, RandomWalker, Walks}
 
 import scala.util.Random
 
@@ -26,13 +26,15 @@ object Harp {
       walkLength: Int = 60,
       w2v: EmbeddingTrainer.W2VConfig = EmbeddingTrainer.W2VConfig(),
       seed: Long = 5555L,
-      numPartitions: Int = 16,
   )
 
   /** One coarsening step by randomized maximal edge matching.
-    * Returns (coarse graph, fine-node-id → coarse-node-id). Coarse node
-    * names are `h<level>__<representative>` so levels never collide. */
-  private[baselines] def coarsen(g: CompactGraph, level: Int, seed: Long): (CompactGraph, Array[Int]) = {
+    * Returns (coarse graph, fine-node-id → coarse-node-id), or None when
+    * matching leaves a supernode without an edge: a graph built from edges
+    * cannot hold it. Coarse node names are `h<level>__<representative>` so
+    * levels never collide. */
+  private[baselines] def coarsen(g: CompactGraph, level: Int,
+                                 seed: Long): Option[(CompactGraph, Array[Int])] = {
     val rng = new Random(seed)
     val match_ = Array.fill(g.numNodes)(-1)
     // Visit nodes in random order; match each unmatched node to a random
@@ -53,61 +55,34 @@ object Harp {
       g.neighborsOf(u).map(v => (repName(u), repName(v)))
     }.filter { case (a, b) => a != b }
     val coarse = CompactGraph.build(coarseEdges)
-    val mapping = Array.tabulate(g.numNodes)(u => coarse.index(repName(u)))
-    (coarse, mapping)
+    if (coarse.numNodes < match_.distinct.length) None
+    else Some((coarse, Array.tabulate(g.numNodes)(u => coarse.index(repName(u)))))
   }
 
-  final case class Result(model: EmbeddingModel, walkMs: Long, trainMs: Long)
-
-  /** Train HARP embeddings over the finest graph `g0`. */
-  def train(spark: SparkSession, g0: CompactGraph, cfg: Config): Result = {
-    import spark.implicits._
-    val t0 = System.nanoTime()
-
-    // Build the hierarchy with member lists per coarse node (fine names).
-    var graphs = List((g0, Array.tabulate(g0.numNodes)(identity))) // (graph, fine->level mapping)
-    var fineToLevel = Array.tabulate(g0.numNodes)(identity)
-    var cur = g0
-    (1 to cfg.levels).foreach { lvl =>
-      val (coarse, m) = coarsen(cur, lvl, cfg.seed + lvl)
-      fineToLevel = Array.tabulate(g0.numNodes)(u => m(fineToLevel(u)))
-      graphs = graphs :+ ((coarse, fineToLevel.clone()))
-      cur = coarse
-    }
-
-    // Per level: member lists (fine node names per level-node id).
-    val corpora: Seq[DataFrame] = graphs.zipWithIndex.map { case ((g, fineMap), lvlIdx) =>
-      val members: Array[Array[String]] = {
-        val acc = Array.fill(g.numNodes)(List.empty[String])
-        (0 until g0.numNodes).foreach { u => acc(fineMap(u)) ::= g0.names(u) }
-        acc.map(_.toArray)
-      }
-      val budget = cfg.corpusTokens / graphs.size
-      val bg = spark.sparkContext.broadcast((g, members))
-      val starts = (0 until g.numNodes).filter(g.degree(_) > 0).toIndexedSeq
-      val totalWalks = math.max(starts.size.toLong, budget / cfg.walkLength)
-      val perNode = math.max(1L, totalWalks / starts.size).toInt
-      spark.sparkContext.parallelize(starts, cfg.numPartitions).flatMap { s =>
-        val (graph, mem) = bg.value
-        (0 until perNode).iterator.map { w =>
-          val rng = repro.core.Rand.of(cfg.seed, lvlIdx.toLong * 1_000_003L + s, w.toLong)
-          val walk = RandomWalker.walkFrom(graph, s,
-            RandomWalker.WalkConfig(walkLength = cfg.walkLength, firstStepRid = false), rng)
-          walk.map { id =>
+  /** Train HARP embeddings over the finest graph `g0`. The hierarchy stops
+    * before `cfg.levels` when coarsening one more level would leave a
+    * supernode without an edge. */
+  def train(spark: SparkSession, g0: CompactGraph, cfg: Config): Walks.Trained =
+    Walks.walkAndTrain({
+      // (level graph, fine-node-id → level-node-id), finest level first.
+      def hierarchy(g: CompactGraph, toLevel: Array[Int], lvl: Int): List[(CompactGraph, Array[Int])] =
+        (g, toLevel) :: (if (lvl > cfg.levels) Nil
+          else coarsen(g, lvl, cfg.seed + lvl).toList.flatMap { case (coarse, m) =>
+            hierarchy(coarse, toLevel.map(m), lvl + 1)
+          })
+      val levels = hierarchy(g0, Array.range(0, g0.numNodes), 1)
+      levels.zipWithIndex.map { case ((g, toLevel), lvl) =>
+        // Fine node names per level node; a walk emits a random member.
+        val members = Array.fill(g.numNodes)(List.empty[String])
+        (0 until g0.numNodes).foreach { u => members(toLevel(u)) ::= g0.names(u) }
+        Walks.corpus(spark, (g, members.map(_.toArray)),
+          RandomWalker.startNodes(g, RandomWalker.AllNodes), cfg.corpusTokens / levels.size,
+          cfg.walkLength, cfg.seed, s => lvl * 1_000_003L + s) { case ((graph, mem), s, rng) =>
+          Walks.uniform(graph, s, cfg.walkLength, rng).map { id =>
             val m = mem(id)
-            if (m.isEmpty) graph.names(id) else m(rng.nextInt(m.length))
+            m(rng.nextInt(m.length))
           }
         }
-      }.toDF("sentence")
-    }
-
-    val corpus = corpora.reduce(_ union _)
-      .persist(org.apache.spark.storage.StorageLevel.MEMORY_AND_DISK)
-    corpus.count()
-    val t1 = System.nanoTime()
-    val model = EmbeddingTrainer.train(corpus, cfg.w2v)
-    val t2 = System.nanoTime()
-    corpus.unpersist()
-    Result(model, (t1 - t0) / 1_000_000L, (t2 - t1) / 1_000_000L)
-  }
+      }.reduce(_ union _)
+    }, cfg.w2v)
 }

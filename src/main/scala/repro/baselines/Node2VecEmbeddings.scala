@@ -1,7 +1,7 @@
 package repro.baselines
 
 import org.apache.spark.sql.SparkSession
-import repro.core.{CompactGraph, EmbeddingModel, EmbeddingTrainer, Node2VecWalker}
+import repro.core.{CompactGraph, EmbeddingTrainer, Node2VecWalker, Walks}
 
 /** The Node2Vec baseline of §7: node2vec's second-order walks over the same
   * tripartite graph ("given our graph as input, it learns vectors for all
@@ -15,17 +15,6 @@ object Node2VecEmbeddings {
       w2v: EmbeddingTrainer.W2VConfig = EmbeddingTrainer.W2VConfig(),
   )
 
-  final case class Result(model: EmbeddingModel, walkMs: Long, trainMs: Long)
-
-  def train(spark: SparkSession, graph: CompactGraph, cfg: Config): Result = {
-    val t0 = System.nanoTime()
-    val corpus = Node2VecWalker.corpus(spark, graph, cfg.n2v)
-      .persist(org.apache.spark.storage.StorageLevel.MEMORY_AND_DISK)
-    corpus.count()
-    val t1 = System.nanoTime()
-    val model = EmbeddingTrainer.train(corpus, cfg.w2v)
-    val t2 = System.nanoTime()
-    corpus.unpersist()
-    Result(model, (t1 - t0) / 1_000_000L, (t2 - t1) / 1_000_000L)
-  }
+  def train(spark: SparkSession, graph: CompactGraph, cfg: Config): Walks.Trained =
+    Walks.walkAndTrain(Node2VecWalker.corpus(spark, graph, cfg.n2v), cfg.w2v)
 }

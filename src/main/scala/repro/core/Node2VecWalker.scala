@@ -21,7 +21,6 @@ object Node2VecWalker {
       p: Double = 1.0,
       q: Double = 1.0,
       seed: Long = 4321L,
-      numPartitions: Int = 16,
   )
 
   private[core] def walkFrom(graph: CompactGraph, start: Int, cfg: N2VConfig,
@@ -56,22 +55,11 @@ object Node2VecWalker {
     out.toArray
   }
 
-  /** Walk corpus as DataFrame[array<string>], mirroring
-    * [[RandomWalker.corpus]] (broadcast CSR + RDD of seeds). */
-  def corpus(spark: SparkSession, graph: CompactGraph, cfg: N2VConfig): DataFrame = {
-    import spark.implicits._
-    val starts = Array.range(0, graph.numNodes).filter(graph.degree(_) > 0)
-    val totalWalks = math.max(starts.length.toLong, cfg.corpusTokens / cfg.walkLength)
-    val perNode = math.max(1L, totalWalks / starts.length).toInt
-    val bg = spark.sparkContext.broadcast(graph)
-    spark.sparkContext.parallelize(starts.toIndexedSeq, cfg.numPartitions)
-      .flatMap { startId =>
-        val g = bg.value
-        (0 until perNode).iterator.map { w =>
-          val rng = Rand.of(cfg.seed, startId.toLong, w.toLong)
-          walkFrom(g, startId, cfg, rng).map(g.names)
-        }
-      }
-      .toDF("sentence")
-  }
+  /** The walk corpus ([[Walks.corpus]]) with the p/q rejection step, from
+    * every connected node. */
+  def corpus(spark: SparkSession, graph: CompactGraph, cfg: N2VConfig): DataFrame =
+    Walks.corpus(spark, graph, RandomWalker.startNodes(graph, RandomWalker.AllNodes),
+      cfg.corpusTokens, cfg.walkLength, cfg.seed) { (g, s, rng) =>
+      walkFrom(g, s, cfg, rng).map(g.names)
+    }
 }

@@ -2,7 +2,6 @@ package repro.core
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
 
-import scala.collection.mutable.ArrayBuffer
 import scala.util.Random
 
 /** Sentence construction via random walks (§4.2, Algorithm 2) with the §5.1
@@ -27,16 +26,14 @@ object RandomWalker {
         * guaranteed budget of ≥ 1 walk per start node (§4.2). */
       corpusTokens: Long = 1_000_000L,
       startStrategy: StartStrategy = AllNodes,
-      /** Algorithm 2: prepend a neighboring RID to the walk; §5.1 widens the
-        * pick to "RID or CID" to strengthen bridge evidence (set
-        * `firstStepOrCid` when using the overlap start strategy). */
-      firstStepRid: Boolean = true,
+      /** Algorithm 2 prepends a neighboring RID to walks from a token; §5.1
+        * widens the pick to "RID or CID" to strengthen bridge evidence (set
+        * this when using the overlap start strategy). */
       firstStepOrCid: Boolean = false,
       /** §5.3 emission-time replacement: node name → (replacement, prob).
         * The walk itself keeps stepping from the original node. */
       replacements: Map[String, (String, Double)] = Map.empty,
       seed: Long = 1234L,
-      numPartitions: Int = 16,
   )
 
   /** Ids of the nodes that receive a walk budget under `strategy`. */
@@ -50,18 +47,11 @@ object RandomWalker {
 
   /** One walk from `start`, as node ids (before replacement). */
   private[repro] def walkFrom(graph: CompactGraph, start: Int, cfg: WalkConfig,
-                             rng: Random): Array[Int] = {
-    val out = new ArrayBuffer[Int](cfg.walkLength)
-    if (cfg.firstStepRid && graph.isToken(start))
-      out += graph.randomNeighborOfKind(start, rng, orCid = cfg.firstStepOrCid)
-    out += start
-    var cur = start
-    while (out.length < cfg.walkLength) {
-      cur = graph.randomNeighbor(cur, rng)
-      out += cur
-    }
-    out.toArray
-  }
+                             rng: Random): Array[Int] =
+    if (graph.isToken(start))
+      graph.randomNeighborOfKind(start, rng, orCid = cfg.firstStepOrCid) +:
+        Walks.uniform(graph, start, cfg.walkLength - 1, rng)
+    else Walks.uniform(graph, start, cfg.walkLength, rng)
 
   /** Render a walk into a sentence, applying emission-time replacement. */
   private[repro] def emit(graph: CompactGraph, walk: Array[Int], cfg: WalkConfig,
@@ -74,31 +64,11 @@ object RandomWalker {
       }
     }
 
-  /** Generate the walk corpus as a DataFrame with one `sentence` column of
-    * `array<string>` — the shape MLlib Word2Vec consumes. The graph is
-    * broadcast; walk seeds are an RDD and the walking itself is a
-    * `mapPartitions` over them. Deterministic in (cfg.seed, partitioning). */
-  def corpus(spark: SparkSession, graph: CompactGraph, cfg: WalkConfig): DataFrame = {
-    import spark.implicits._
-    val starts = startNodes(graph, cfg.startStrategy)
-    require(starts.nonEmpty, "no start nodes — empty graph or empty overlap set")
-    val totalWalks = math.max(starts.length.toLong, cfg.corpusTokens / cfg.walkLength)
-    val perNode = math.max(1L, totalWalks / starts.length).toInt
-    val bg = spark.sparkContext.broadcast(graph)
-    val seeds = spark.sparkContext.parallelize(starts.toIndexedSeq, cfg.numPartitions)
-    seeds
-      .flatMap { startId =>
-        val g = bg.value
-        (0 until perNode).iterator.map { w =>
-          // Seed depends only on (global seed, start node, walk index) so the
-          // corpus is independent of partitioning; mixed so nearby seeds are
-          // uncorrelated (the first draw picks the prepended RID).
-          val rng = Rand.of(cfg.seed, startId.toLong, w.toLong)
-          emit(g, walkFrom(g, startId, cfg, rng), cfg, rng)
-        }
-      }
-      .toDF("sentence")
-  }
+  /** The walk corpus ([[Walks.corpus]]) with Algorithm 2's step and §5.3
+    * emission-time replacement. Deterministic in `cfg.seed`. */
+  def corpus(spark: SparkSession, graph: CompactGraph, cfg: WalkConfig): DataFrame =
+    Walks.corpus(spark, graph, startNodes(graph, cfg.startStrategy), cfg.corpusTokens,
+      cfg.walkLength, cfg.seed) { (g, s, rng) => emit(g, walkFrom(g, s, cfg, rng), cfg, rng) }
 
   /** Paper's corpus-size rule of thumb (§7.3):
     * `#corpus tokens = (#distinct values + #rows) * factor` (paper uses

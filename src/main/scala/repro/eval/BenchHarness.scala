@@ -91,13 +91,13 @@ object Bench {
         corpusTokens = corpusTokens, strategy = Tokenization.Overlap(shared),
         w2v = w2v(), seed = params.seed))
 
-    lazy val node2vec: Node2VecEmbeddings.Result =
+    lazy val node2vec: Walks.Trained =
       Node2VecEmbeddings.train(spark, embdiO.graph, Node2VecEmbeddings.Config(
         Node2VecWalker.N2VConfig(walkLength = params.walkLength,
           corpusTokens = corpusTokens, seed = params.seed),
         w2v()))
 
-    lazy val harp: Harp.Result =
+    lazy val harp: Walks.Trained =
       Harp.train(spark, embdiO.graph, Harp.Config(
         levels = 2, corpusTokens = corpusTokens, walkLength = params.walkLength,
         w2v = w2v(), seed = params.seed))

@@ -12,19 +12,19 @@ class HarpSpec extends SparkSpec {
   }
 
   test("coarsen reduces the node count") {
-    val (coarse, _) = Harp.coarsen(graph, 1, 1L)
+    val (coarse, _) = Harp.coarsen(graph, 1, 1L).get
     assert(coarse.numNodes < graph.numNodes)
     assert(coarse.numNodes >= graph.numNodes / 2)
   }
 
   test("coarsen mapping covers every fine node") {
-    val (coarse, mapping) = Harp.coarsen(graph, 1, 2L)
+    val (coarse, mapping) = Harp.coarsen(graph, 1, 2L).get
     assert(mapping.length == graph.numNodes)
     mapping.foreach(c => assert(c >= 0 && c < coarse.numNodes))
   }
 
   test("coarsen preserves connectivity: fine edges map to coarse edges or merges") {
-    val (coarse, mapping) = Harp.coarsen(graph, 1, 3L)
+    val (coarse, mapping) = Harp.coarsen(graph, 1, 3L).get
     (0 until graph.numNodes).foreach { u =>
       graph.neighborsOf(u).foreach { v =>
         val cu = mapping(u); val cv = mapping(v)
@@ -35,8 +35,8 @@ class HarpSpec extends SparkSpec {
   }
 
   test("coarsen is deterministic in the seed") {
-    val (a, ma) = Harp.coarsen(graph, 1, 9L)
-    val (b, mb) = Harp.coarsen(graph, 1, 9L)
+    val (a, ma) = Harp.coarsen(graph, 1, 9L).get
+    val (b, mb) = Harp.coarsen(graph, 1, 9L).get
     assert(a.numNodes == b.numNodes)
     assert(ma.sameElements(mb))
   }
@@ -52,5 +52,17 @@ class HarpSpec extends SparkSpec {
     val embedded = graph.names.count(res.model.contains)
     assert(embedded > graph.numNodes / 2, s"$embedded of ${graph.numNodes}")
     assert(res.walkMs > 0 && res.trainMs > 0)
+  }
+
+  test("train stops coarsening before a supernode loses its last edge") {
+    import spark.implicits._
+    // token–RID–CID path: level 1 leaves two supernodes and one edge, so a
+    // second level would merge that edge away.
+    val tiny = CompactGraph.fromEdges(TripartiteGraph.edges(spark,
+      Seq(Seq((0L, "x")).toDF("__rid", "a")), Tokenization.Simple))
+    assert(Harp.coarsen(Harp.coarsen(tiny, 1, 1L).get._1, 2, 2L).isEmpty)
+    val res = Harp.train(spark, tiny, Harp.Config(levels = 2, corpusTokens = 600, walkLength = 5,
+      w2v = EmbeddingTrainer.W2VConfig(dim = 4, minCount = 1, numPartitions = 1)))
+    assert(tiny.names.forall(res.model.contains))
   }
 }

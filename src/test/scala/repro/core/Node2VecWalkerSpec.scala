@@ -54,4 +54,13 @@ class Node2VecWalkerSpec extends SparkSpec {
     val b = corpus(spark, graph, cfg).collect().map(_.getSeq[String](0).mkString(" ")).sorted
     assert(a.sameElements(b))
   }
+
+  test("corpus equals a local loop over start nodes and walk indices") {
+    val cfg = N2VConfig(walkLength = 9, corpusTokens = 2500, p = 0.5, q = 2.0, seed = 8)
+    val starts = RandomWalker.startNodes(graph, RandomWalker.AllNodes)
+    val perNode = math.max(1L, math.max(starts.length.toLong, 2500L / 9) / starts.length).toInt
+    val expected = for (s <- starts.toSeq; w <- 0 until perNode) yield
+      walkFrom(graph, s, cfg, Rand.of(cfg.seed, s.toLong, w.toLong)).map(graph.names).toSeq
+    assert(corpus(spark, graph, cfg).collect().map(_.getSeq[String](0)).toSeq == expected)
+  }
 }

@@ -86,19 +86,16 @@ class RandomWalkerSpec extends SparkSpec {
     assert(total >= 2000 * 9 / 10 && total <= 2 * 2000, s"total tokens $total")
   }
 
-  test("every start node gets at least its budget of walks") {
-    val cfg = WalkConfig(walkLength = 5, corpusTokens = 5000, seed = 7)
-    val sentences = corpus(spark, graph, cfg).collect().map(_.getSeq[String](0))
+  test("corpus equals a local loop over start nodes and walk indices") {
+    val cfg = WalkConfig(walkLength = 7, corpusTokens = 3000, startStrategy = TokenNodes,
+      firstStepOrCid = true, replacements = Map("ipad" -> ("tablet", 0.5)), seed = 21)
     val starts = startNodes(graph, cfg.startStrategy)
-    val perNode = math.max(1, (5000 / 5) / starts.length)
-    // count walks by their start node: for tokens that's position 1 (after
-    // the prepended RID), for rid/cid nodes position 0.
-    val counts = scala.collection.mutable.Map.empty[String, Int].withDefaultValue(0)
-    sentences.foreach { s =>
-      val head = if (NodeNames.isRid(s.head) || NodeNames.isCid(s.head)) s.head else s.head
-      counts(head) += 1
+    val perNode = math.max(1L, math.max(starts.length.toLong, 3000L / 7) / starts.length).toInt
+    val expected = for (s <- starts.toSeq; w <- 0 until perNode) yield {
+      val rng = Rand.of(cfg.seed, s.toLong, w.toLong)
+      emit(graph, walkFrom(graph, s, cfg, rng), cfg, rng).toSeq
     }
-    assert(sentences.length == starts.length.toLong * perNode)
+    assert(corpus(spark, graph, cfg).collect().map(_.getSeq[String](0)).toSeq == expected)
   }
 
   test("corpus is deterministic in the seed") {
@@ -114,15 +111,6 @@ class RandomWalkerSpec extends SparkSpec {
     val b = corpus(spark, graph, WalkConfig(walkLength = 8, corpusTokens = 1000, seed = 2))
       .collect().map(_.getSeq[String](0).mkString(" ")).sorted
     assert(!a.sameElements(b))
-  }
-
-  test("corpus is invariant to the number of partitions") {
-    val base = WalkConfig(walkLength = 8, corpusTokens = 1000, seed = 42)
-    val a = corpus(spark, graph, base.copy(numPartitions = 2))
-      .collect().map(_.getSeq[String](0).mkString(" ")).sorted
-    val b = corpus(spark, graph, base.copy(numPartitions = 7))
-      .collect().map(_.getSeq[String](0).mkString(" ")).sorted
-    assert(a.sameElements(b))
   }
 
   test("replacement rewrites emissions with probability, never the path") {
