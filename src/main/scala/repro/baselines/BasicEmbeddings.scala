@@ -32,27 +32,22 @@ object BasicEmbeddings {
   def train(spark: SparkSession, datasets: Seq[DataFrame], cfg: Config): EmbeddingModel = {
     import spark.implicits._
 
-    // (rid, row tokens) pairs, distributed.
-    val rowTokens = datasets.zipWithIndex.map { case (df, i) =>
-      val dsIdx = i + 1
-      val dataCols = df.columns.filterNot(_ == "__rid").toSeq
+    // (rid, row tokens) pairs of the rows with any token, distributed.
+    val rows = datasets.map { df =>
+      val dataCols = Tokenization.dataColumns(df)
       df.rdd.map { r =>
-        val rid = r.getAs[Long]("__rid")
-        val toks = dataCols.flatMap { c =>
+        r.getAs[Long]("__rid") -> dataCols.flatMap { c =>
           Option(r.getAs[Any](c)).toSeq.flatMap(v => Tokenization.tokens(v.toString, cfg.strategy))
         }
-        (rid, dsIdx, dataCols.map(c => c -> Option(r.getAs[Any](c)).map(_.toString)), toks)
       }
-    }.reduce(_ union _)
-
-    val rows = rowTokens.filter(_._4.nonEmpty).cache()
+    }.reduce(_ union _).filter(_._2.nonEmpty).cache()
     val nRows = rows.count()
-    val avgRowLen = math.max(2.0, rows.map(_._4.size + 1).sum() / math.max(1L, nRows).toDouble)
+    val avgRowLen = math.max(2.0, rows.map(_._2.size + 1).sum() / math.max(1L, nRows).toDouble)
 
     val rowBudgetTokens = (cfg.corpusTokens * cfg.rowFraction).toLong
     val permsPerRow = math.max(1L, (rowBudgetTokens / avgRowLen / math.max(1L, nRows)).toLong).toInt
 
-    val rowSentences = rows.flatMap { case (rid, _, _, toks) =>
+    val rowSentences = rows.flatMap { case (rid, toks) =>
       (0 until permsPerRow).iterator.map { p =>
         val rng = repro.core.Rand.of(cfg.seed, rid, p.toLong)
         (NodeNames.rid(rid) +: rng.shuffle(toks)).toArray
@@ -61,13 +56,8 @@ object BasicEmbeddings {
 
     // Attribute-domain samples: collect the (small) per-column domains.
     val domains: Seq[(String, IndexedSeq[String])] = datasets.zipWithIndex.flatMap { case (df, i) =>
-      val dsIdx = i + 1
-      df.columns.filterNot(_ == "__rid").toSeq.map { c =>
-        val dom = df.select(c).collect()
-          .flatMap(r => Option(r.get(0)))
-          .flatMap(v => Tokenization.tokens(v.toString, cfg.strategy))
-          .distinct.toIndexedSeq
-        NodeNames.cid(dsIdx, c) -> dom
+      Tokenization.columnValues(df).map { case (c, values) =>
+        NodeNames.cid(i + 1, c) -> values.flatMap(v => Tokenization.tokens(v, cfg.strategy)).distinct
       }
     }.filter(_._2.nonEmpty)
 

@@ -61,7 +61,7 @@ object PretrainedEmbeddings {
     val entries = scala.collection.mutable.LinkedHashMap.empty[String, Array[Float]]
     datasets.zipWithIndex.foreach { case (df, i) =>
       val dsIdx = i + 1
-      val dataCols = df.columns.filterNot(_ == "__rid").toSeq
+      val dataCols = Tokenization.dataColumns(df)
       val colAcc = dataCols.map(c => c -> new Array[Float](dim)).toMap
       df.collect().foreach { r =>
         val rid = r.getAs[Long]("__rid")

@@ -30,25 +30,19 @@ object Seep {
     EmbeddingModel.normalize(acc)
   }
 
-  private def columnValues(df: DataFrame, c: String): Seq[String] =
-    df.select(c).collect().flatMap(r => Option(r.get(0)).map(_.toString)).toSeq
-
   /** SeepP: pre-trained vectors for labels and instance tokens. */
   def runPretrained(d1: DataFrame, d2: DataFrame, labelWeight: Double = 0.5,
                     dim: Int = PretrainedEmbeddings.DefaultDim): Seq[(String, String)] = {
-    def sig(df: DataFrame, c: String): Signature = {
-      val toks = columnValues(df, c)
-        .flatMap(v => Tokenization.tokens(v, Tokenization.Flatten)).distinct
-      Signature(
-        label = PretrainedEmbeddings.tokenVector(c.toLowerCase, dim),
-        centroid =
-          if (toks.isEmpty) new Array[Float](dim)
-          else centroid(toks.map(PretrainedEmbeddings.tokenVector(_, dim)), dim))
-    }
-    matchBySignatures(
-      d1.columns.filterNot(_ == "__rid").toSeq.map(c => c -> sig(d1, c)),
-      d2.columns.filterNot(_ == "__rid").toSeq.map(c => c -> sig(d2, c)),
-      labelWeight)
+    def sigs(df: DataFrame): Seq[(String, Signature)] =
+      Tokenization.columnValues(df).map { case (c, values) =>
+        val toks = values.flatMap(v => Tokenization.tokens(v, Tokenization.Flatten)).distinct
+        c -> Signature(
+          label = PretrainedEmbeddings.tokenVector(c.toLowerCase, dim),
+          centroid =
+            if (toks.isEmpty) new Array[Float](dim)
+            else centroid(toks.map(PretrainedEmbeddings.tokenVector(_, dim)), dim))
+      }
+    matchBySignatures(sigs(d1), sigs(d2), labelWeight)
   }
 
   /** SeepL: EmbDI local embeddings — CID vector (if learned) blended with
@@ -56,16 +50,14 @@ object Seep {
   def runLocal(d1: DataFrame, d2: DataFrame, model: EmbeddingModel,
                strategy: Tokenization.Strategy): Seq[(String, String)] = {
     val dim = model.dim
-    def sig(df: DataFrame, dsIdx: Int, c: String): Signature = {
-      val toks = columnValues(df, c).flatMap(v => Tokenization.tokens(v, strategy)).distinct
-      val cen = centroid(toks.flatMap(model.vector), dim)
-      val cid = model.vector(NodeNames.cid(dsIdx, c)).getOrElse(cen)
-      Signature(label = cid, centroid = cen)
-    }
-    matchBySignatures(
-      d1.columns.filterNot(_ == "__rid").toSeq.map(c => c -> sig(d1, 1, c)),
-      d2.columns.filterNot(_ == "__rid").toSeq.map(c => c -> sig(d2, 2, c)),
-      labelWeight = 0.5)
+    def sigs(df: DataFrame, dsIdx: Int): Seq[(String, Signature)] =
+      Tokenization.columnValues(df).map { case (c, values) =>
+        val toks = values.flatMap(v => Tokenization.tokens(v, strategy)).distinct
+        val cen = centroid(toks.flatMap(model.vector), dim)
+        val cid = model.vector(NodeNames.cid(dsIdx, c)).getOrElse(cen)
+        c -> Signature(label = cid, centroid = cen)
+      }
+    matchBySignatures(sigs(d1, 1), sigs(d2, 2), labelWeight = 0.5)
   }
 
   /** Minimum combined similarity for a candidate pair to be considered at

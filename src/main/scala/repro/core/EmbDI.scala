@@ -1,7 +1,6 @@
 package repro.core
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.storage.StorageLevel
 
 /** The EmbDI meta-algorithm (Algorithm 3): graph construction → sentence
   * construction → embedding construction, with the wall-clock breakdown the
@@ -56,11 +55,7 @@ object EmbDI {
     val strategy = resolveStrategy(spark, datasets, cfg.strategy, cfg.sigFigs)
 
     val (graph, graphMs) = timed {
-      val edges = TripartiteGraph.edges(spark, datasets, strategy, cfg.sigFigs)
-        .persist(StorageLevel.MEMORY_AND_DISK)
-      val g = CompactGraph.fromEdges(edges)
-      edges.unpersist()
-      g
+      CompactGraph.fromEdges(TripartiteGraph.edges(spark, datasets, strategy, cfg.sigFigs))
     }
 
     // Input statistics for the corpus-size rule — not part of the graph

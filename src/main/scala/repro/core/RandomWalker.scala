@@ -66,9 +66,13 @@ object RandomWalker {
 
   /** The walk corpus ([[Walks.corpus]]) with Algorithm 2's step and §5.3
     * emission-time replacement. Deterministic in `cfg.seed`. */
-  def corpus(spark: SparkSession, graph: CompactGraph, cfg: WalkConfig): DataFrame =
+  def corpus(spark: SparkSession, graph: CompactGraph, cfg: WalkConfig): DataFrame = {
+    // The step ships with every walk task: keep the start set (every shared value) out.
+    val step = WalkConfig(walkLength = cfg.walkLength, firstStepOrCid = cfg.firstStepOrCid,
+      replacements = cfg.replacements)
     Walks.corpus(spark, graph, startNodes(graph, cfg.startStrategy), cfg.corpusTokens,
-      cfg.walkLength, cfg.seed) { (g, s, rng) => emit(g, walkFrom(g, s, cfg, rng), cfg, rng) }
+      cfg.walkLength, cfg.seed) { (g, s, rng) => emit(g, walkFrom(g, s, step, rng), step, rng) }
+  }
 
   /** Paper's corpus-size rule of thumb (§7.3):
     * `#corpus tokens = (#distinct values + #rows) * factor` (paper uses

@@ -12,6 +12,9 @@ import org.apache.spark.sql.functions._
   *  - [[Tokenization.Overlap]]  (EmbDI-O): cell values that occur in *both*
   *    datasets stay whole (they are the bridges between the relations);
   *    values private to one dataset are split into words.
+  *
+  * Also the one reader of table cells: [[dataColumns]], [[cells]] (Spark
+  * passes) and [[columnValues]] (driver-side per-column readers).
   */
 object Tokenization {
 
@@ -25,14 +28,19 @@ object Tokenization {
   /** Canonical form of a whole cell value: trimmed, lower-cased, inner
     * whitespace collapsed to single `_`. Numeric strings are rounded to
     * `sigFigs` significant figures per §4.1 ("numerical values are rounded
-    * to a number of significant figures decided by the user"). */
+    * to a number of significant figures decided by the user"). A value
+    * starting like a RID or CID name (`idx__`, `cid__`) or with the escape
+    * `_` gets a leading `_`: no token poses as a RID or CID, distinct values
+    * stay distinct, and the words are unchanged. */
   def normalize(raw: String, sigFigs: Int = 4): Option[String] = {
     if (raw == null) return None
     val t = raw.trim.toLowerCase
     if (t.isEmpty) None
     else Numerics.parseNumeric(t) match {
       case Some(d) => Some(Numerics.roundSig(d, sigFigs))
-      case None    => Some(t.split("\\s+").mkString("_"))
+      case None =>
+        val v = t.split("\\s+").mkString("_")
+        Some(if (Seq("_", NodeNames.RidPrefix, NodeNames.CidPrefix).exists(v.startsWith)) "_" + v else v)
     }
   }
 
@@ -52,6 +60,32 @@ object Tokenization {
         }
     }
 
+  /** The data columns of a table: every column but the row id `__rid`. */
+  def dataColumns(df: DataFrame): Seq[String] = df.columns.toSeq.filterNot(_ == "__rid")
+
+  /** The table melted to one row per non-NULL cell: `(rid: long, col:
+    * string, value: string)`, the value cast to string. One projection per
+    * table (an `explode` over the row's column → value map, in schema
+    * order), so the input is scanned once whatever its width; a table with
+    * no data columns has no cells. */
+  def cells(df: DataFrame): DataFrame = {
+    val cols = dataColumns(df)
+    val byColumn =
+      if (cols.isEmpty) typedLit(Map.empty[String, String])
+      else map(cols.flatMap(c => Seq(lit(c), col(c).cast("string"))): _*)
+    df.select(col("__rid").cast("long").as("rid"), explode(byColumn).as(Seq("col", "value")))
+      .where(col("value").isNotNull)
+  }
+
+  /** The non-NULL cell values of every data column, in schema order and row
+    * order, from one `collect` of the table. Driver-side (bench-scale
+    * inputs). */
+  def columnValues(df: DataFrame): Seq[(String, IndexedSeq[String])] = {
+    val cols = dataColumns(df)
+    val rows = df.select(cols.map(col): _*).collect()
+    cols.indices.map(i => cols(i) -> rows.flatMap(r => Option(r.get(i)).map(_.toString)).toIndexedSeq)
+  }
+
   /** Normalized whole-cell values occurring in both datasets (DataFrame
     * intersection over all data columns) — the EmbDI-O bridge set and the
     * overlap statistic of Table 1. */
@@ -66,19 +100,14 @@ object Tokenization {
   def sharedTokens(spark: SparkSession, d1: DataFrame, d2: DataFrame,
                    strategy: Strategy, sigFigs: Int = 4): Set[String] = {
     import spark.implicits._
-    def toks(df: DataFrame): DataFrame = {
-      val dataCols = df.columns.filterNot(_ == "__rid")
-      dataCols.map(c => df.select(col(c).cast("string").as("raw"))).reduce(_ union _)
-        .as[String].flatMap(v => tokens(v, strategy, sigFigs)).toDF("t").distinct()
-    }
+    def toks(df: DataFrame): DataFrame =
+      cells(df).select("value").as[String].flatMap(v => tokens(v, strategy, sigFigs)).toDF("t").distinct()
     toks(d1).intersect(toks(d2)).collect().map(_.getString(0)).toSet
   }
 
   /** One-column DataFrame `value` of distinct normalized cell values. */
   def distinctValues(spark: SparkSession, df: DataFrame, sigFigs: Int = 4): DataFrame = {
     import spark.implicits._
-    val dataCols = df.columns.filterNot(_ == "__rid")
-    val stacked = dataCols.map(c => df.select(col(c).cast("string").as("raw"))).reduce(_ union _)
-    stacked.as[String].flatMap(v => normalize(v, sigFigs)).toDF("value").distinct()
+    cells(df).select("value").as[String].flatMap(v => normalize(v, sigFigs)).toDF("value").distinct()
   }
 }

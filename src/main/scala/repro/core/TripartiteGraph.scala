@@ -40,18 +40,11 @@ object TripartiteGraph {
             strategy: Tokenization.Strategy, sigFigs: Int = 4): DataFrame = {
     import spark.implicits._
     val perDataset = datasets.zipWithIndex.map { case (df, i) =>
-      val dsIdx = i + 1
-      val dataCols = df.columns.filterNot(_ == "__rid").toSeq
-      // Melt to (rid, column, value) then explode into token edges.
-      val melted: DataFrame = dataCols.map { c =>
-        df.select($"__rid".cast("long").as("rid"), lit(c).as("col"),
-                  col(c).cast("string").as("value"))
-      }.reduce(_ union _)
-      melted
+      Tokenization.cells(df)
         .as[(Long, String, String)]
         .flatMap { case (rid, colName, value) =>
           Tokenization.tokens(value, strategy, sigFigs).flatMap { tok =>
-            Seq((tok, NodeNames.rid(rid)), (tok, NodeNames.cid(dsIdx, colName)))
+            Seq((tok, NodeNames.rid(rid)), (tok, NodeNames.cid(i + 1, colName)))
           }
         }
         .toDF("src", "dst")

@@ -2,6 +2,7 @@ package repro.data
 
 import org.apache.spark.sql.{DataFrame, Row, SparkSession}
 import org.apache.spark.sql.types.{LongType, StringType, StructField, StructType}
+import repro.core.Tokenization
 
 import scala.collection.mutable.ArrayBuffer
 import scala.util.Random
@@ -123,8 +124,8 @@ final case class Scenario(
       * evaluation protocol for these datasets. */
     candidates: Seq[(Long, Long, Boolean)] = Seq.empty,
 ) {
-  def columns1: Seq[String] = d1.columns.filterNot(_ == "__rid").toSeq
-  def columns2: Seq[String] = d2.columns.filterNot(_ == "__rid").toSeq
+  def columns1: Seq[String] = Tokenization.dataColumns(d1)
+  def columns2: Seq[String] = Tokenization.dataColumns(d2)
   def nRows1: Long = d1.count()
   def nRows2: Long = d2.count()
 }

@@ -29,7 +29,7 @@ object QualityTests {
   )
 
   def tokenize(df: DataFrame, strategy: Tokenization.Strategy): Tokenized = {
-    val dataCols = df.columns.filterNot(_ == "__rid").toSeq
+    val dataCols = Tokenization.dataColumns(df)
     val rows = df.collect()
     val cells = rows.map { r =>
       dataCols.flatMap { c =>

@@ -95,15 +95,10 @@ object SchemaMatcher {
     * mutual-matching loop. No embeddings involved. */
   def matchBase(spark: SparkSession, d1: DataFrame, d2: DataFrame,
                 maxIterations: Int = 2): Seq[(String, String)] = {
-    def tokenSets(df: DataFrame): Map[String, Set[String]] = {
-      val dataCols = df.columns.filterNot(_ == "__rid").toSeq
-      val collected = df.select(dataCols.map(org.apache.spark.sql.functions.col): _*).collect()
-      dataCols.zipWithIndex.map { case (c, i) =>
-        c -> collected.flatMap(r => Option(r.get(i)))
-          .flatMap(v => Tokenization.tokens(v.toString, Tokenization.Flatten))
-          .toSet
+    def tokenSets(df: DataFrame): Map[String, Set[String]] =
+      Tokenization.columnValues(df).map { case (c, values) =>
+        c -> values.flatMap(v => Tokenization.tokens(v, Tokenization.Flatten)).toSet
       }.toMap
-    }
     val t1 = tokenSets(d1); val t2 = tokenSets(d2)
     val sims = (for {
       (c1, s1) <- t1.toSeq; (c2, s2) <- t2.toSeq

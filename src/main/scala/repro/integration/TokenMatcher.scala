@@ -15,10 +15,9 @@ object TokenMatcher {
 
   /** Distinct normalized tokens of one column. */
   def domain(df: DataFrame, column: String): Seq[String] =
-    df.select(column).collect()
-      .flatMap(r => Option(r.get(0)))
-      .flatMap(v => Tokenization.normalize(v.toString))
-      .distinct.sorted.toSeq
+    Tokenization.columnValues(df.select(column)).flatMap(_._2)
+      .flatMap(v => Tokenization.normalize(v))
+      .distinct.sorted
 
   /** Embedding-based matching: token in dom1 → first NN within dom2. */
   def matchByEmbedding(model: EmbeddingModel, dom1: Seq[String], dom2: Seq[String],

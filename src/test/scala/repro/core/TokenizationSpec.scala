@@ -120,4 +120,92 @@ class TokenizationSpec extends SparkSpec {
     val vals = Tokenization.distinctValues(spark, d).collect().map(_.getString(0)).toSet
     assert(vals == Set("x", "y"))
   }
+
+  test("cells melts a table to one row per non-NULL cell (DuckDB UNPIVOT oracle)") {
+    import spark.implicits._
+    val d = Seq((0L, Some("Alpha"), None: Option[String], Some("x")),
+                (1L, None, Some("beta gamma"), Some("y")),
+                (2L, None, None, None))
+      .toDF("__rid", "a", "b", "c")
+    val got = Tokenization.cells(d)
+    assert(got.schema.map(f => f.name -> f.dataType.simpleString) ==
+      Seq("rid" -> "bigint", "col" -> "string", "value" -> "string"))
+    Oracle.assertEquivalent(got,
+      "SELECT __rid AS rid, name AS col, val AS value FROM " +
+        "(UNPIVOT t ON COLUMNS(* EXCLUDE (__rid)) INTO NAME name VALUE val)",
+      "t" -> d)
+  }
+
+  test("cells of a table with only __rid is empty, with the same schema") {
+    import spark.implicits._
+    val ridOnly = Seq(0L, 1L).toDF("__rid")
+    val got = Tokenization.cells(ridOnly)
+    def fields(df: org.apache.spark.sql.DataFrame) = df.schema.map(f => f.name -> f.dataType)
+    assert(fields(got) == fields(Tokenization.cells(Seq((0L, "v")).toDF("__rid", "a"))))
+    assert(got.isEmpty)
+    assert(Tokenization.columnValues(ridOnly).isEmpty)
+  }
+
+  test("cells skips an all-NULL column, typed or untyped") {
+    import spark.implicits._
+    val d = Seq((0L, "a", None: Option[String]), (1L, "b", None)).toDF("__rid", "x", "y")
+      .withColumn("z", org.apache.spark.sql.functions.lit(null))
+    val got = Tokenization.cells(d).collect().map(r => (r.getLong(0), r.getString(1), r.getString(2)))
+    assert(got.toSeq == Seq((0L, "x", "a"), (1L, "x", "b")))
+    assert(Tokenization.columnValues(d) ==
+      Seq("x" -> IndexedSeq("a", "b"), "y" -> IndexedSeq.empty, "z" -> IndexedSeq.empty))
+  }
+
+  test("columnValues keeps schema order and row order and drops NULLs") {
+    import spark.implicits._
+    val d = Seq((0L, Some("b"), Some(3)), (1L, None, Some(1)), (2L, Some("a"), None))
+      .toDF("__rid", "s", "n")
+    assert(Tokenization.columnValues(d) ==
+      Seq("s" -> IndexedSeq("b", "a"), "n" -> IndexedSeq("3", "1")))
+  }
+
+  test("distinctValues, sharedValues and sharedTokens accept a table with only __rid") {
+    import spark.implicits._
+    val t = Seq((0L, "Apple iPad")).toDF("__rid", "a")
+    val ridOnly = Seq(1L).toDF("__rid")
+    assert(Tokenization.distinctValues(spark, ridOnly).isEmpty)
+    assert(Tokenization.sharedValues(spark, t, ridOnly).isEmpty)
+    assert(Tokenization.sharedTokens(spark, t, ridOnly, Flatten).isEmpty)
+  }
+
+  test("normalize never yields a RID or CID node name") {
+    Seq("idx__1", "IDX__1", "idx__abc", "cid__1__x", "  Cid__2__Name ").foreach { raw =>
+      val n = normalize(raw).get
+      assert(!n.startsWith(NodeNames.RidPrefix) && !n.startsWith(NodeNames.CidPrefix), s"$raw -> $n")
+      Seq(Simple, Flatten, Overlap(Set(n))).foreach { st =>
+        assert(tokens(raw, st).forall(NodeNames.isToken), s"$raw under ${st.name}")
+      }
+    }
+  }
+
+  test("escaping reserved prefixes keeps distinct values distinct and words unchanged (property)") {
+    val rng = new Random(2)
+    val parts = IndexedSeq("idx", "cid", "_", "__", "1", "x", " ", "A")
+    val raws = (0 until 500).map(_ => Seq.fill(1 + rng.nextInt(5))(parts(rng.nextInt(parts.size))).mkString)
+    // (canonical form before escaping, raw) for every non-blank, non-numeric raw value.
+    val forms = raws.map(r => r.trim.toLowerCase.split("\\s+").mkString("_") -> r)
+      .filter { case (f, _) => f.nonEmpty && Numerics.parseNumeric(f).isEmpty }
+    val outputs = forms.map { case (f, r) => f -> normalize(r).get }.distinct
+    assert(outputs.map(_._2).distinct.size == outputs.map(_._1).distinct.size, "two forms collided")
+    outputs.foreach { case (f, n) =>
+      assert(!n.startsWith(NodeNames.RidPrefix) && !n.startsWith(NodeNames.CidPrefix), n)
+      assert(tokens(f, Flatten) == f.split('_').toSeq.filter(_.nonEmpty), f)
+    }
+  }
+
+  test("an escaped value is the same token in the shared set and in the graph") {
+    import spark.implicits._
+    val d1 = Seq((0L, "idx__7")).toDF("__rid", "a")
+    val d2 = Seq((1L, "IDX__7")).toDF("__rid", "b")
+    val shared = Tokenization.sharedValues(spark, d1, d2)
+    assert(shared == Set(normalize("idx__7").get))
+    val g = CompactGraph.fromEdges(TripartiteGraph.edges(spark, Seq(d1, d2), Overlap(shared)))
+    assert(g.nodeIdsOfType(0).map(g.names).toSet == shared)
+    assert(g.nodeIdsOfType(1).map(g.names).toSet == Set(NodeNames.rid(0), NodeNames.rid(1)))
+  }
 }

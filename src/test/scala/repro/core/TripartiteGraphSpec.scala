@@ -1,6 +1,7 @@
 package repro.core
 
 import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.functions.lit
 import repro.{Oracle, SparkSpec}
 
 /** Algorithm 1 checked against the paper's running example: the two tables
@@ -123,5 +124,41 @@ class TripartiteGraphSpec extends SparkSpec {
     }.toDF("__rid", "c1", "c2", "c3", "c4", "c5", "c6", "c7", "c8")
     val g = CompactGraph.fromEdges(TripartiteGraph.edges(spark, Seq(wide), Tokenization.Simple))
     assert(g.numEdges == 50 * 8 * 2) // linear in cells, not quadratic in columns
+  }
+
+  test("a table with only __rid adds no edges to its pair") {
+    import spark.implicits._
+    val ridOnly = Seq(9L).toDF("__rid")
+    val pair = TripartiteGraph.edges(spark, Seq(figure1a, ridOnly), Tokenization.Simple)
+    val alone = TripartiteGraph.edges(spark, Seq(figure1a), Tokenization.Simple)
+    assert(pair.collect().toSet == alone.collect().toSet)
+  }
+
+  test("an all-NULL column adds no CID node") {
+    import spark.implicits._
+    val d = Seq((0L, "a", None: Option[String]), (1L, "b", None)).toDF("__rid", "x", "y")
+      .withColumn("z", lit(null))
+    val g = CompactGraph.fromEdges(TripartiteGraph.edges(spark, Seq(d), Tokenization.Simple))
+    assert(g.nodeIdsOfType(2).map(g.names).toSeq == Seq(NodeNames.cid(1, "x")))
+    assert(g.numEdges == 4)
+  }
+
+  test("edges scans each table once, not once per column") {
+    val edges = TripartiteGraph.edges(spark, Seq(figure1a, figure1b), Tokenization.Simple)
+    assert(edges.queryExecution.sparkPlan.collectLeaves().size == 2)
+  }
+
+  test("a cell shaped like a RID or CID stays a token node") {
+    import spark.implicits._
+    val d = Seq((1L, "idx__1", "x"), (2L, "cid__1__x", "idx__abc")).toDF("__rid", "x", "y")
+    val g = CompactGraph.fromEdges(TripartiteGraph.edges(spark, Seq(d), Tokenization.Simple))
+    assert(g.nodeIdsOfType(1).map(g.names).toSet == Set(NodeNames.rid(1), NodeNames.rid(2)))
+    assert(g.nodeIdsOfType(2).map(g.names).toSet == Set(NodeNames.cid(1, "x"), NodeNames.cid(1, "y")))
+    assert(g.nodeIdsOfType(0).length == 4)
+    // Every cell: one edge to its RID, one to its CID.
+    assert(g.numEdges == 8)
+    val types = TripartiteGraph.nodes(spark, TripartiteGraph.edges(spark, Seq(d), Tokenization.Simple))
+      .collect().map(r => r.getString(1)).groupBy(identity).view.mapValues(_.length).toMap
+    assert(types == Map("token" -> 4, "rid" -> 2, "cid" -> 2))
   }
 }

@@ -1,7 +1,7 @@
 package repro.integration
 
 import repro.SparkSpec
-import repro.core.{EmbeddingModel, NodeNames}
+import repro.core.{CompactGraph, EmbeddingModel, NodeNames, Tokenization, TripartiteGraph}
 
 import scala.util.Random
 
@@ -24,6 +24,14 @@ class EntityResolverSpec extends SparkSpec {
     assert(EntityResolver.ridsIn(m, 0, 5).size == 5)
     assert(EntityResolver.ridsIn(m, 5, 10).size == 5)
     assert(EntityResolver.ridsIn(m, 0, 10).size == 10)
+  }
+
+  test("ridsIn skips a token whose cell value was shaped like a RID") {
+    import spark.implicits._
+    val d = Seq((0L, "idx__abc"), (1L, "idx__0")).toDF("__rid", "code")
+    val g = CompactGraph.fromEdges(TripartiteGraph.edges(spark, Seq(d), Tokenization.Simple))
+    val m = EmbeddingModel(g.names.toSeq.map(_ -> Array(1f, 0f)))
+    assert(EntityResolver.ridsIn(m, 0, 10).toSet == Set(NodeNames.rid(0), NodeNames.rid(1)))
   }
 
   test("clean paired embeddings match perfectly") {
